@@ -16,10 +16,20 @@ All matchers consume a :class:`~repro.core.fingerprint.FingerprintMatrix`
 and a grid so they can translate cells to coordinates.
 
 The primitive operation is :meth:`Matcher.match_batch`: an entire
-``(frames, links)`` trace is scored against every grid cell in one
-broadcasted pass, which is what gives trace-level localization its
-throughput (see ``benchmarks/bench_perf.py``). Per-frame :meth:`Matcher.match`
-is a thin single-row wrapper around it.
+``(frames, links)`` trace is scored against every grid cell with one
+``frames @ templates`` GEMM, which is what gives trace-level localization
+its throughput (see ``benchmarks/bench_perf.py``). Per-frame
+:meth:`Matcher.match` is a thin single-row wrapper around it.
+
+Everything constant per epoch (the template matrix and its squared
+column norms) is computed once when a matcher is built; matchers are
+cached per epoch by :meth:`repro.core.pipeline.TafLoc.matcher_for_day`.
+The GEMM output is the only ``(frames, cells)`` buffer: distances are
+finished in place on it in cache-sized row blocks, and it is returned,
+negated, as the scores. A one-row batch (the single-query path) takes a
+1-D branch of the same arithmetic, which skips the per-call overhead of
+2-D indexing. Every path gives the same bits as the straightforward
+expression evaluated with fresh temporaries.
 """
 
 from __future__ import annotations
@@ -37,6 +47,39 @@ from repro.util.validation import check_positive
 #: Cap on the elements of one broadcasted (frames, links, cells) distance
 #: block; larger traces are scored in frame chunks to bound peak memory.
 _BLOCK_ELEMENTS = 4_000_000
+
+#: Elements of one row block of the ``(frames, cells)`` distance buffer.
+#: A block (256 KB of float64, plus as much again of argpartition
+#: indices) is finished, selected and negated while it stays in L2.
+_ROW_BLOCK_ELEMENTS = 32_768
+
+
+def _column_norms(templates: np.ndarray) -> np.ndarray:
+    """Squared column norms ``||t_j||²``, a per-epoch constant."""
+    return np.sum(templates**2, axis=0)
+
+
+def _finish_euclidean(
+    gram: np.ndarray, frames: np.ndarray, norms: np.ndarray, squared: bool
+) -> np.ndarray:
+    """Turn ``gram = frames @ templates`` into distances, in place.
+
+    Works on one frame (``gram`` of shape ``(cells,)``) or a row block
+    (``(rows, cells)``). The Gram expansion ``||f||² - 2 f·t + ||t||²``
+    is evaluated in that order, so the bits equal the expression written
+    out with fresh temporaries.
+    """
+    gram *= -2.0
+    gram += np.add.reduce(np.square(frames), axis=-1, keepdims=True)
+    gram += norms
+    np.maximum(gram, 0.0, out=gram)
+    if not squared:
+        np.sqrt(gram, out=gram)
+    return gram
+
+
+def _block_rows(cells: int) -> int:
+    return max(1, _ROW_BLOCK_ELEMENTS // cells)
 
 
 @dataclass(frozen=True)
@@ -134,17 +177,17 @@ class Matcher(abc.ABC):
 
     def match(self, live_rss: np.ndarray) -> MatchResult:
         """Estimate the target location from one live RSS vector."""
-        vector = self._check_vector(live_rss)
-        return self.match_batch(vector[None, :])[0]
+        return self.match_batch(self._as_row(live_rss))[0]
 
-    def _check_vector(self, live_rss: np.ndarray) -> np.ndarray:
+    def _as_row(self, live_rss: np.ndarray) -> np.ndarray:
+        """One live vector, converted once, as a one-row batch."""
         vector = np.asarray(live_rss, dtype=float)
         if vector.shape != (self.fingerprint.link_count,):
             raise ValueError(
                 f"live vector shape {vector.shape} must be "
                 f"({self.fingerprint.link_count},)"
             )
-        return vector
+        return vector[None, :]
 
     def _check_frames(self, frames: np.ndarray) -> np.ndarray:
         array = np.asarray(frames, dtype=float)
@@ -156,7 +199,11 @@ class Matcher(abc.ABC):
         return array
 
     def _distances_batch(
-        self, frames: np.ndarray, templates: np.ndarray, metric: str = "euclidean"
+        self,
+        frames: np.ndarray,
+        templates: np.ndarray,
+        norms: Optional[np.ndarray] = None,
+        metric: str = "euclidean",
     ) -> np.ndarray:
         """``(frames, cells)`` distances between rows and template columns.
 
@@ -164,19 +211,29 @@ class Matcher(abc.ABC):
         ``||f - t||² = ||f||² - 2 f·t + ||t||²`` so the inner product runs
         as one BLAS matmul — an order of magnitude faster than
         materializing the ``(frames, links, cells)`` delta tensor, at the
-        cost of ~1e-12 relative rounding versus the direct form. Manhattan
-        distances have no such factorization and broadcast the delta tensor
-        in frame chunks to bound peak memory.
+        cost of ~1e-12 relative rounding versus the direct form. ``norms``
+        holds the ``||t||²`` column norms, computed once per epoch by the
+        matcher; the matmul output is finished in place in row blocks
+        (:func:`_finish_euclidean`); a single 1-D ``frames`` vector (the
+        one-row branch of :meth:`KnnMatcher.match_batch`) takes the same
+        arithmetic on a 1-D buffer. Manhattan distances have no such
+        factorization and broadcast the delta tensor in frame chunks to
+        bound peak memory.
         """
         if metric in ("euclidean", "sqeuclidean"):
-            squared = np.sum(frames**2, axis=1)[:, None] - 2.0 * (
-                frames @ templates
-            )
-            squared += np.sum(templates**2, axis=0)[None, :]
-            np.maximum(squared, 0.0, out=squared)
-            if metric == "sqeuclidean":
-                return squared
-            return np.sqrt(squared, out=squared)
+            squared = metric == "sqeuclidean"
+            distances = frames @ templates
+            if distances.ndim == 1:
+                return _finish_euclidean(distances, frames, norms, squared)
+            rows = _block_rows(templates.shape[1])
+            for start in range(0, len(frames), rows):
+                _finish_euclidean(
+                    distances[start : start + rows],
+                    frames[start : start + rows],
+                    norms,
+                    squared,
+                )
+            return distances
         count, links = frames.shape
         cells = templates.shape[1]
         block = max(1, _BLOCK_ELEMENTS // max(1, links * cells))
@@ -227,15 +284,22 @@ class NearestNeighborMatcher(Matcher):
         else:
             self._live_empty = None
             self._templates = fingerprint.values
+        self._norms = (
+            _column_norms(self._templates) if metric == "euclidean" else None
+        )
 
     def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
         vectors = self._check_frames(frames)
         if self.use_dips:
             vectors = self._live_empty[None, :] - vectors
-        distances = self._distances_batch(vectors, self._templates, self.metric)
+        distances = self._distances_batch(
+            vectors, self._templates, self._norms, self.metric
+        )
         cells = np.argmin(distances, axis=1)
         return BatchMatchResult(
-            cells=cells, positions=self._centers[cells], scores=-distances
+            cells=cells,
+            positions=self._centers[cells],
+            scores=np.negative(distances, out=distances),
         )
 
 
@@ -263,27 +327,69 @@ class KnnMatcher(Matcher):
         check_positive("epsilon", epsilon)
         self.k = k
         self.epsilon = epsilon
+        self._templates = fingerprint.values
+        self._norms = _column_norms(self._templates)
 
     def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
         vectors = self._check_frames(frames)
-        distances = self._distances_batch(vectors, self.fingerprint.values)
-        if self.k < distances.shape[1]:
-            nearest = np.argpartition(distances, self.k, axis=1)[:, : self.k]
-            # argpartition leaves the k winners unordered; order them so the
-            # reported best cell matches the per-frame argsort convention.
-            order_in_block = np.argsort(
-                np.take_along_axis(distances, nearest, axis=1), axis=1
+        if len(vectors) == 1:
+            return self._match_row(vectors[0])
+        # One GEMM over the whole batch: its bits depend on the row count,
+        # so it is never split. Everything after it runs per row block.
+        distances = vectors @ self._templates
+        (count, cells), k = distances.shape, self.k
+        rows = _block_rows(cells)
+        order = np.empty((count, k), dtype=np.intp)
+        best = np.empty((count, k))
+        for start in range(0, count, rows):
+            stop = start + rows
+            block = _finish_euclidean(
+                distances[start:stop], vectors[start:stop], self._norms, False
             )
-            order = np.take_along_axis(nearest, order_in_block, axis=1)
-        else:
-            order = np.argsort(distances, axis=1)[:, : self.k]
-        best_distances = np.take_along_axis(distances, order, axis=1)
-        weights = 1.0 / (best_distances + self.epsilon)
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        positions = np.einsum("fk,fkd->fd", weights, self._centers[order])
+            if k < cells:
+                nearest = np.argpartition(block, k, axis=1)[:, :k]
+                # argpartition leaves the k winners unordered; order them so
+                # the reported best cell matches the argsort convention.
+                within = np.argsort(
+                    np.take_along_axis(block, nearest, axis=1), axis=1
+                )
+                order[start:stop] = np.take_along_axis(nearest, within, axis=1)
+            else:
+                order[start:stop] = np.argsort(block, axis=1)[:, :k]
+            best[start:stop] = np.take_along_axis(
+                block, order[start:stop], axis=1
+            )
+            np.negative(block, out=block)
         return BatchMatchResult(
-            cells=order[:, 0], positions=positions, scores=-distances
+            cells=order[:, 0],
+            positions=self._weighted_positions(order, best),
+            scores=distances,
         )
+
+    def _match_row(self, vector: np.ndarray) -> BatchMatchResult:
+        """The one-row batch: the same arithmetic on 1-D buffers."""
+        distances = self._distances_batch(vector, self._templates, self._norms)
+        # Array methods and plain indexing: the same kernels as the 2-D
+        # path without the per-call cost of the np.* wrappers.
+        if self.k < distances.shape[0]:
+            nearest = distances.argpartition(self.k)[: self.k]
+            order = nearest[distances[nearest].argsort()]
+        else:
+            order = distances.argsort()[: self.k]
+        positions = self._weighted_positions(order, distances[order])
+        np.negative(distances, out=distances)
+        return BatchMatchResult(
+            cells=order[:1], positions=positions[None], scores=distances[None]
+        )
+
+    def _weighted_positions(
+        self, order: np.ndarray, best: np.ndarray
+    ) -> np.ndarray:
+        """Inverse-distance-weighted centroids; overwrites ``best``."""
+        best += self.epsilon
+        weights = np.divide(1.0, best, out=best)
+        weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+        return np.einsum("...k,...kd->...d", weights, self._centers[order])
 
 
 class ProbabilisticMatcher(Matcher):
@@ -314,31 +420,34 @@ class ProbabilisticMatcher(Matcher):
         if np.any(prior < 0) or prior.sum() <= 0:
             raise ValueError("prior must be non-negative and not all zero")
         self.prior = prior / prior.sum()
+        self._norms = _column_norms(fingerprint.values)
 
     def log_likelihoods_batch(self, frames: np.ndarray) -> np.ndarray:
         """Unnormalized Gaussian log-likelihoods, shape ``(frames, cells)``."""
         vectors = self._check_frames(frames)
         squared = self._distances_batch(
-            vectors, self.fingerprint.values, "sqeuclidean"
+            vectors, self.fingerprint.values, self._norms, "sqeuclidean"
         )
-        return -0.5 * squared / self.sigma_db**2
+        squared *= -0.5
+        squared /= self.sigma_db**2
+        return squared
 
     def log_likelihoods(self, live_rss: np.ndarray) -> np.ndarray:
         """Unnormalized per-cell Gaussian log-likelihoods."""
-        vector = self._check_vector(live_rss)
-        return self.log_likelihoods_batch(vector[None, :])[0]
+        return self.log_likelihoods_batch(self._as_row(live_rss))[0]
 
     def posterior_batch(self, frames: np.ndarray) -> np.ndarray:
         """Normalized per-frame posteriors, shape ``(frames, cells)``."""
-        log_like = self.log_likelihoods_batch(frames) + np.log(self.prior)[None, :]
+        log_like = self.log_likelihoods_batch(frames)
+        log_like += np.log(self.prior)[None, :]
         log_like -= log_like.max(axis=1, keepdims=True)
-        weights = np.exp(log_like)
-        return weights / weights.sum(axis=1, keepdims=True)
+        weights = np.exp(log_like, out=log_like)
+        weights /= weights.sum(axis=1, keepdims=True)
+        return weights
 
     def posterior(self, live_rss: np.ndarray) -> np.ndarray:
         """Normalized posterior over cells given the live vector."""
-        vector = self._check_vector(live_rss)
-        return self.posterior_batch(vector[None, :])[0]
+        return self.posterior_batch(self._as_row(live_rss))[0]
 
     def match_batch(self, frames: np.ndarray) -> BatchMatchResult:
         posteriors = self.posterior_batch(frames)

@@ -465,9 +465,13 @@ class AioFrontend:
     async def _spawn(
         self, writer, lock, tasks, req_id, method, params, stream, chunk
     ) -> bool:
-        if req_id is None:
+        streamed = stream and method == "query_trace"
+        if req_id is None or (self._mode == "inline" and not streamed):
             # No id -> the client cannot match out-of-order responses;
-            # answer sequentially so responses stay in request order.
+            # answer sequentially so responses stay in request order. An
+            # inline backend answers on the loop anyway, so a task would
+            # only add its own cost; answering here also stops reading
+            # the connection while its responses are not drained.
             return await self._answer(
                 writer, lock, req_id, method, params, stream, chunk
             )

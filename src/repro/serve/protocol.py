@@ -298,11 +298,12 @@ def _handle_query(backend: Any, params: Dict[str, Any]) -> Dict[str, Any]:
     epoch serving that day), 503 (not commissioned / no live replica).
     """
     site, rss, day = _require(params, "site", "rss", "day")
-    result = backend.query(str(site), _as_rss(rss), _as_day(day))
+    day = _as_day(day)
+    result = backend.query(str(site), _as_rss(rss), day)
     cell = int(result.cell)
     body = {
         "site": site,
-        "day": _as_day(day),
+        "day": day,
         "cell": cell,
         "position": [float(result.position.x), float(result.position.y)],
         "score": float(result.scores[cell]),

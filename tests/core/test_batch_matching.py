@@ -6,8 +6,12 @@ tests pin the batch kernels to an explicit per-frame reference computation
 broadcasting cannot hide behind the wrapper.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.matching as matching
 from repro.core.fingerprint import FingerprintMatrix
@@ -264,3 +268,183 @@ class TestPipelineBatch:
             for i in range(trace.frame_count)
         ]
         np.testing.assert_allclose(errors, reference, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Frozen reference: the matching kernels as they stood before per-epoch
+# norms, in-place row blocks and the one-row branch. Every matcher must
+# stay bit-identical to them for every batch shape.
+# ----------------------------------------------------------------------
+def frozen_distances(frames, templates, metric="euclidean"):
+    squared = np.sum(frames**2, axis=1)[:, None] - 2.0 * (frames @ templates)
+    squared += np.sum(templates**2, axis=0)[None, :]
+    np.maximum(squared, 0.0, out=squared)
+    if metric == "sqeuclidean":
+        return squared
+    return np.sqrt(squared, out=squared)
+
+
+def frozen_knn(frames, templates, centers, k, epsilon):
+    distances = frozen_distances(frames, templates)
+    if k < distances.shape[1]:
+        nearest = np.argpartition(distances, k, axis=1)[:, :k]
+        order_in_block = np.argsort(
+            np.take_along_axis(distances, nearest, axis=1), axis=1
+        )
+        order = np.take_along_axis(nearest, order_in_block, axis=1)
+    else:
+        order = np.argsort(distances, axis=1)[:, :k]
+    best_distances = np.take_along_axis(distances, order, axis=1)
+    weights = 1.0 / (best_distances + epsilon)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    positions = np.einsum("fk,fkd->fd", weights, centers[order])
+    return order[:, 0], positions, -distances
+
+
+def frozen_nearest(frames, templates, centers, live_empty=None):
+    if live_empty is not None:
+        frames = live_empty[None, :] - frames
+    distances = frozen_distances(frames, templates)
+    cells = np.argmin(distances, axis=1)
+    return cells, centers[cells], -distances
+
+
+def frozen_posterior(frames, templates, sigma_db, prior):
+    squared = frozen_distances(frames, templates, "sqeuclidean")
+    log_like = -0.5 * squared / sigma_db**2 + np.log(prior)[None, :]
+    log_like -= log_like.max(axis=1, keepdims=True)
+    weights = np.exp(log_like)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def assert_bitwise(result, cells, positions, scores):
+    np.testing.assert_array_equal(result.cells, cells)
+    # array_equal treats -0.0 == 0.0; compare the raw bits as well.
+    assert result.positions.tobytes() == np.asarray(positions).tobytes()
+    assert result.scores.tobytes() == np.asarray(scores).tobytes()
+
+
+@st.composite
+def matching_cases(draw):
+    """A fingerprint with whole-dB RSS (so exact ties occur), some template
+    columns duplicated (pinning tie-breaking), and a batch of frames."""
+    columns = draw(st.integers(1, 9))
+    rows = draw(st.integers(1, 9))
+    grid = Grid(Room(0.5 * columns, 0.5 * rows), 0.5)
+    cells = grid.cell_count
+    links = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(-50.0, 6.0, size=(links, cells)))
+    duplicates = draw(st.integers(0, cells - 1))
+    if duplicates:
+        sources = rng.integers(0, cells, size=duplicates)
+        targets = rng.integers(0, cells, size=duplicates)
+        values[:, targets] = values[:, sources]
+    fingerprint = FingerprintMatrix(
+        values=values, empty_rss=np.round(rng.normal(-44.0, 2.0, links))
+    )
+    count = draw(st.sampled_from([1, 1, 2, 7, 64]) | st.integers(1, 300))
+    frames = rng.normal(-50.0, 6.0, size=(count, links))
+    if draw(st.booleans()):
+        frames = np.round(frames)
+    if draw(st.booleans()):
+        # Frames equal to template columns: zero distances, exact ties.
+        frames[: min(count, cells)] = values[:, : min(count, cells)].T
+    # Row blocks: the default, and blocks small enough to split the batch.
+    block = draw(
+        st.sampled_from([matching._ROW_BLOCK_ELEMENTS, 1, cells, 3 * cells + 1])
+    )
+    return grid, fingerprint, frames, block
+
+
+def _blocks(block):
+    return mock.patch.object(matching, "_ROW_BLOCK_ELEMENTS", block)
+
+
+def _ks(cells):
+    return sorted({k for k in (1, 3, cells - 1, cells) if 1 <= k <= cells})
+
+
+class TestFrozenReference:
+    @given(case=matching_cases())
+    @example(
+        case=(
+            Grid(Room(3.0, 2.4), 0.6),
+            FingerprintMatrix(
+                values=np.zeros((2, 20)), empty_rss=np.full(2, -44.0)
+            ),
+            np.zeros((5, 2)),
+            matching._ROW_BLOCK_ELEMENTS,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_knn_bit_identical(self, case):
+        grid, fingerprint, frames, block = case
+        centers = grid.centers_array()
+        for k in _ks(grid.cell_count):
+            matcher = KnnMatcher(fingerprint, grid, k=k)
+            with _blocks(block):
+                batch = matcher.match_batch(frames)
+            assert_bitwise(
+                batch, *frozen_knn(frames, fingerprint.values, centers, k, 1e-6)
+            )
+            one = matcher.match_batch(frames[:1])
+            assert_bitwise(
+                one, *frozen_knn(frames[:1], fingerprint.values, centers, k, 1e-6)
+            )
+            single = matcher.match(frames[0])
+            assert single.cell == one.cells[0]
+            assert single.position == one[0].position
+            assert single.scores.tobytes() == one.scores[0].tobytes()
+
+    @given(case=matching_cases(), dips=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_nearest_neighbor_bit_identical(self, case, dips):
+        grid, fingerprint, frames, block = case
+        centers = grid.centers_array()
+        live_empty = fingerprint.empty_rss + 1.5 if dips else None
+        matcher = NearestNeighborMatcher(
+            fingerprint, grid, use_dips=dips, live_empty_rss=live_empty
+        )
+        templates = fingerprint.dips() if dips else fingerprint.values
+        for rows in (frames, frames[:1]):
+            with _blocks(block):
+                batch = matcher.match_batch(rows)
+            assert_bitwise(
+                batch, *frozen_nearest(rows, templates, centers, live_empty)
+            )
+        single = matcher.match(frames[0])
+        one = matcher.match_batch(frames[:1])
+        assert single.cell == one.cells[0]
+        assert single.scores.tobytes() == one.scores[0].tobytes()
+
+    @given(case=matching_cases(), sigma_db=st.sampled_from([0.5, 2.0, 7.3]))
+    @settings(max_examples=100, deadline=None)
+    def test_probabilistic_bit_identical(self, case, sigma_db):
+        grid, fingerprint, frames, block = case
+        centers = grid.centers_array()
+        prior = np.random.default_rng(0).random(grid.cell_count) + 0.1
+        matcher = ProbabilisticMatcher(
+            fingerprint, grid, sigma_db=sigma_db, prior=prior
+        )
+        for rows in (frames, frames[:1]):
+            reference = frozen_posterior(
+                rows, fingerprint.values, sigma_db, prior / prior.sum()
+            )
+            with _blocks(block):
+                posteriors = matcher.posterior_batch(rows)
+                batch = matcher.match_batch(rows)
+            assert posteriors.tobytes() == reference.tobytes()
+            cells = np.argmax(reference, axis=1)
+            assert_bitwise(
+                batch, cells, centers[cells], np.log(reference + 1e-300)
+            )
+        assert (
+            matcher.posterior(frames[0]).tobytes()
+            == matcher.posterior_batch(frames[:1])[0].tobytes()
+        )
+        single = matcher.match(frames[0])
+        assert single.scores.tobytes() == (
+            matcher.match_batch(frames[:1]).scores[0].tobytes()
+        )

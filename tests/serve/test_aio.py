@@ -10,6 +10,8 @@ all bit-identical to the in-process service.
 import asyncio
 import json
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.serve import (
     ServiceClient,
     ShardedService,
 )
+from repro.serve.faults import FlakyService
 from repro.sim.collector import CollectionProtocol, LiveTrace, RssCollector
 
 PROTOCOL = CollectionProtocol(samples_per_cell=2, empty_room_samples=5)
@@ -327,6 +330,125 @@ class TestAioServerBehavior:
                 assert sites == ["hq"]
                 reference = sharded.query_batch("hq", rss, 0.0)
                 assert [r.cell for r in results] == reference.cells.tolist()
+
+
+def _query_line(req_id, site, frame, method="query", **params):
+    key = "rss" if method == "query" else "frames"
+    body = {"site": site, key: np.asarray(frame).tolist(), "day": 0.0}
+    body.update(params)
+    return (
+        json.dumps({"id": req_id, "method": method, "params": body}) + "\n"
+    ).encode()
+
+
+class TestAioInlineAnswers:
+    """An inline backend answers id-bearing requests in the connection
+    loop, without a task per request; streamed traces keep theirs."""
+
+    def test_pipelined_ids_come_back_under_their_own_id(
+        self, frontend, service, traces
+    ):
+        rss = traces["hq"].rss[:12]
+        with socket.create_connection(
+            ("127.0.0.1", frontend.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                b"".join(
+                    _query_line(f"q{index}", "hq", frame)
+                    for index, frame in enumerate(rss)
+                )
+            )
+            reader = sock.makefile("rb")
+            answers = {}
+            for _ in rss:
+                message = json.loads(reader.readline())
+                answers[message["id"]] = message
+        assert sorted(answers) == sorted(f"q{i}" for i in range(len(rss)))
+        for index, frame in enumerate(rss):
+            reference = service.query("hq", frame, 0.0)
+            body = answers[f"q{index}"]["body"]
+            assert body["cell"] == reference.cell
+            assert body["position"] == [
+                reference.position.x,
+                reference.position.y,
+            ]
+            assert body["score"] == reference.scores[reference.cell]
+
+    def test_streamed_trace_interleaved_with_singles(
+        self, frontend, service, traces
+    ):
+        trace = traces["lab"]
+        singles = traces["hq"].rss[:6]
+
+        async def mixed():
+            async with AsyncServiceClient(
+                frontend.address, autobatch=0
+            ) as client:
+                return await asyncio.gather(
+                    client.query("hq", singles[0], 0.0),
+                    client.query_trace("lab", trace, chunk=3),
+                    *(client.query("hq", frame, 0.0) for frame in singles[1:]),
+                )
+
+        first, streamed, *rest = run(mixed())
+        reference = service.query_trace("lab", trace)
+        assert streamed.cells.tolist() == reference.cells.tolist()
+        assert streamed.positions.tolist() == reference.positions.tolist()
+        for wire, frame in zip([first, *rest], singles):
+            local = service.query("hq", frame, 0.0)
+            assert wire.cell == local.cell
+            assert wire.score == local.scores[local.cell]
+
+    def test_dropped_id_request_severs_connection(self, service, traces):
+        flaky = FlakyService(service, drop_calls={0}, methods={"query"})
+        with AioFrontend(flaky) as fe:
+            with socket.create_connection(
+                ("127.0.0.1", fe.port), timeout=5.0
+            ) as sock:
+                sock.sendall(
+                    _query_line(1, "hq", traces["hq"].rss[0])
+                    + _query_line(2, "hq", traces["hq"].rss[1])
+                )
+                assert sock.makefile("rb").readline() == b""
+        # The request behind the dropped one was never dispatched.
+        assert flaky.calls == 1
+        assert flaky.dropped == 1
+
+    def test_undrained_connection_stops_being_read(self, service, traces):
+        """Backpressure: while the client reads no responses, the server
+        stops reading its requests instead of queueing answers."""
+        flaky = FlakyService(service, methods={"query_batch"})
+        frames = np.repeat(traces["lab"].rss, 8, axis=0)
+        line = _query_line(0, "lab", frames, "query_batch", include_scores=True)
+        total = 200
+        with AioFrontend(flaky) as fe:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30.0)
+            sock.connect(("127.0.0.1", fe.port))
+            sender = threading.Thread(
+                target=sock.sendall, args=(line * total,), daemon=True
+            )
+            sender.start()
+            try:
+                deadline = time.monotonic() + 10.0
+                stalled_at = -1
+                while time.monotonic() < deadline:
+                    time.sleep(0.25)
+                    if flaky.calls == stalled_at:
+                        break
+                    stalled_at = flaky.calls
+                assert 0 < flaky.calls == stalled_at < total
+                reader = sock.makefile("rb")
+                statuses = [
+                    json.loads(reader.readline())["status"]
+                    for _ in range(total)
+                ]
+                assert statuses == [200] * total
+                assert flaky.calls == total
+            finally:
+                sender.join(timeout=10.0)
+                sock.close()
 
 
 class TestClientAddresses:
