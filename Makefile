@@ -2,16 +2,16 @@
 # produces the committed perf-trajectory point (BENCH_PR10.json — every
 # registered bench section: solve, engine, serving, frontend,
 # frontend_async, resilience, trust, loadgen; narrow a run with
-# `make bench BENCH_ONLY="--only loadgen"`). CI runs `make bench-smoke`
-# (writes BENCH_SMOKE.json — PR-agnostic, never clobbers a committed
-# BENCH_PR*.json), `make frontend-smoke` (the wire/shard/aio
-# bit-identity gate), `make resilience-smoke` (kill -9 /
-# snapshot-restore / resize gate plus the PR-7 anti-entropy trust gates:
-# quorum read-repair under a corrupted replica, scrub detection of
-# silent corruption, degraded-mode stale serving, snapshot keep-last-K
-# retention) and `make loadgen-smoke` (the PR-10 load-generator gate:
-# open-loop SLO saturation search with bit-for-bit answer checks,
-# plan determinism, the 200-site registration soak).
+# `make bench BENCH_ONLY="--only loadgen"`).
+#
+# The four CI smoke gates are one command, `bench_perf.py --smoke`, each
+# with its own `--only` selection; together the selections cover every
+# registered section exactly once (tests/eval/test_smoke_gates.py checks
+# that), and every gate is a named condition in its section's
+# `smoke_gates`, so CI and `make bench` run one implementation of it.
+# On failure a smoke run names each failed gate and prints the command
+# that replays it, e.g.
+#   python benchmarks/bench_perf.py --smoke --only resilience --only trust --seed N
 
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -45,41 +45,41 @@ analyze:
 bench:
 	$(PYTHON) benchmarks/bench_perf.py --out BENCH_PR10.json $(BENCH_ONLY)
 
-# Writes to BENCH_SMOKE.json (gitignored territory) so a local smoke run
-# never clobbers the committed full-bench BENCH_PR6.json; CI uploads the
-# same file under the PR-agnostic `bench-smoke` artifact name.
+# Solve / engine / serving gates. Writes BENCH_SMOKE.json (gitignored)
+# so a smoke run never clobbers the committed BENCH_PR10.json; CI uploads
+# it under the PR-agnostic `bench-smoke` artifact name.
 bench-smoke:
-	$(PYTHON) benchmarks/bench_perf.py --smoke --jobs 2 --out BENCH_SMOKE.json
+	$(PYTHON) benchmarks/bench_perf.py --smoke --jobs 2 --out BENCH_SMOKE.json \
+		--only solve --only engine --only serving
 
-# Start a wire server + sharded workers at toy scale and assert the
-# answers are bit-identical to the in-process service (CI's guard on the
-# serving front-end). Runs the wire + shard sections only; the fault
-# gates live in resilience-smoke.
+# Wire and shard bit-identity against the in-process service: threaded
+# http and unix front-ends, the asyncio front-end (sync tcp:// batches,
+# pipelined singles, streamed traces with flat peak buffering), the 404
+# -> KeyError error contract, and 1- and 2-shard fleets.
 frontend-smoke:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.serve.check --only wire --only shards
+	$(PYTHON) benchmarks/bench_perf.py --smoke \
+		--only frontend --only frontend_async
 
-# The PR-6 + PR-7 acceptance gate: on a 3-shard R=2 snapshot-backed
-# fleet, kill -9 each worker under load (zero lost queries, bit-identical
-# answers, snapshot-warmed respawn), resize the fleet live, then the
-# anti-entropy episode — corrupt a replica's fingerprint state and prove
-# quorum reads deliver zero mismatched answers while the scrub alarms,
-# quarantines, and read-repairs; degraded mode serves stale-marked
-# snapshot answers when every replica is down; keep-last-K retention
-# holds the snapshot directory bounded. On failure the fault-schedule
-# seed lands in RESILIENCE_SEED.json (CI uploads it) for local replay.
+# The fault and anti-entropy gates on 3-shard R=2 snapshot-backed fleets:
+# kill -9 of each worker in turn under load (zero lost or changed
+# answers, snapshot-warmed respawn), a live 3 -> 4 -> 2 resize, quorum
+# read-repair of a corrupted primary, scrub detection of a corrupted
+# secondary, degraded-mode stale answers, keep-last-K snapshot
+# retention. The record, which carries the fault-schedule seed, is
+# always written to RESILIENCE_SMOKE.json (CI uploads it on failure).
 resilience-smoke:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.serve.check --only resilience \
-		--seed-out RESILIENCE_SEED.json
+	$(PYTHON) benchmarks/bench_perf.py --smoke --out RESILIENCE_SMOKE.json \
+		--only resilience --only trust
 
-# The PR-10 load-generator gate: a seconds-scale open-loop SLO
-# saturation search over the http front-end with every answer checked
-# bit-for-bit, a closed-loop comparison, the same-seed plan-determinism
-# check, and a 200-site registration soak (one shared spec must dedupe
-# to ONE pipeline). The gates are the `loadgen` bench section's own
-# smoke gates via the section registry; the full record always lands in
-# LOADGEN_SMOKE.json (CI uploads it on failure).
+# The load-generator gates: open-loop SLO saturation searches over the
+# http and aio front-ends with every answer checked bit for bit, a
+# closed-loop run, a refresh-perturbation run, same-seed plan
+# determinism, and the 200-site registration soak (one shared spec must
+# dedupe to ONE pipeline). The record lands in LOADGEN_SMOKE.json (CI
+# uploads it on failure).
 loadgen-smoke:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.loadgen.check --out LOADGEN_SMOKE.json
+	$(PYTHON) benchmarks/bench_perf.py --smoke --out LOADGEN_SMOKE.json \
+		--only loadgen
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks -q -p no:cacheprovider

@@ -20,9 +20,13 @@ its block of the printed report, and its ``--smoke`` CI gates.
 ``--only`` narrows a run to the named section(s); the default run emits
 every section, key-for-key identical to the pre-registry reports.
 ``--smoke`` runs a seconds-scale subset and exits non-zero on any
-registered smoke-gate failure; it honors ``--out`` so the workflow can
-upload the JSON as an artifact (the CI convention is ``make bench-smoke``
-→ ``BENCH_SMOKE.json``; the committed full run is ``BENCH_PR10.json``).
+registered smoke-gate failure, naming the failed gate and printing the
+command that replays it; it honors ``--out`` so the workflow can upload
+the JSON as an artifact. It is every CI smoke gate: the Makefile's
+``bench-smoke``, ``frontend-smoke``, ``resilience-smoke`` and
+``loadgen-smoke`` targets are ``--smoke`` runs whose ``--only``
+selections partition the registered sections (the committed full run
+is ``BENCH_PR10.json``).
 See EXPERIMENTS.md for the recorded trajectory and how to read the
 numbers. The file name is intentionally ``bench_*`` (not ``test_*``) so
 pytest's benchmark collection does not pick it up.
@@ -103,10 +107,10 @@ def main(argv=None) -> int:
             serving_sites=("square-3m", "square-4m"),
             frontend_sites=("square-3m", "square-4m"),
             frontend_shards=(1, 2),
-            frontend_async_sites=("square-3m",),
+            frontend_async_sites=("square-3m", "square-4m"),
             frontend_async_connections=(1, 2),
-            resilience_sites=("square-3m", "square-4m"),
-            resilience_shards=2,
+            resilience_sites=("square-3m", "square-4m", "square-5m"),
+            resilience_shards=3,
             resilience_replicas=2,
             trust_sites=("square-3m", "square-4m"),
             loadgen_sites=("square-3m",),
@@ -122,6 +126,13 @@ def main(argv=None) -> int:
         failures = smoke_failures(report)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            print(
+                "replay with: python benchmarks/bench_perf.py --smoke "
+                f"--seed {args.seed}"
+                + "".join(f" --only {name}" for name in args.only or ()),
+                file=sys.stderr,
+            )
         return 1 if failures else 0
 
     out = args.out or "BENCH_PR10.json"

@@ -4,8 +4,7 @@ Importing this package registers every section in canonical report
 order — ``solve``, ``engine``, ``serving``, ``frontend``,
 ``frontend_async``, ``resilience``, ``trust``, ``loadgen`` — and
 re-exports the registry drivers plus each section's public benchmark
-function. ``repro.eval.benchmark`` remains a thin compatibility facade
-over this package; new code should import from here.
+function.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@
 ``run`` receives — the union of all section knobs, with ``None`` meaning
 "skip this section" for the optional ones (the historical
 ``run_perf_bench`` contract). The helpers here (spec resolution, best-of
-timing, host metadata) are the pieces the old 1657-line monolith
-duplicated across sections; they live in one place now so a new section
-is *only* its measurement logic plus a ``register()`` call.
+timing, host metadata, the per-site query workload, the bit-identity
+predicate and the fleet phase runner) are the pieces the sections would
+otherwise duplicate; they live in one place so a new section is *only*
+its measurement logic plus a ``register()`` call, and so every smoke
+gate judges identity the same way.
 """
 
 from __future__ import annotations
@@ -15,11 +17,22 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.loli_ir import LoliIrConfig
+from repro.eval.engine import cached_scenario
+from repro.sim.collector import CollectionProtocol, RssCollector
 from repro.sim.deployment import Deployment
-from repro.sim.specs import ScenarioSpec, build_deployment, get_scenario_spec
+from repro.sim.specs import (
+    ScenarioSpec,
+    build_deployment,
+    build_scenario,
+    get_scenario_spec,
+)
+from repro.util.rng import counter_stream, task_key
+from repro.util.stats import latency_summary
 
 __all__ = [
     "BENCH_SEED",
@@ -31,6 +44,10 @@ __all__ = [
     "best_of",
     "build_bench_deployment",
     "host_metadata",
+    "identical",
+    "run_phase",
+    "site_workloads",
+    "unknown_site_error",
 ]
 
 #: The PR-1 solver configuration: matrix-free CG half-steps, no outer
@@ -155,3 +172,99 @@ class StageTiming:
             "loop_s": self.loop_s,
             "speedup": self.speedup,
         }
+
+
+def site_workloads(
+    specs: Mapping[str, ScenarioSpec],
+    protocol: CollectionProtocol,
+    frames: int,
+    seed: int,
+    stream: int,
+    label: str,
+) -> Dict[str, np.ndarray]:
+    """One live RSS trace per site: ``frames`` frames at day 0.
+
+    Site ``i`` draws its cells from ``counter_stream(seed, stream + i)``
+    and its noise from ``task_key(seed, label, site)``; each section
+    passes its own ``stream`` base and ``label``, so sections measure
+    distinct workloads while each stays bit-identical run to run.
+    """
+    workloads: Dict[str, np.ndarray] = {}
+    for index, (site, spec) in enumerate(specs.items()):
+        scenario = cached_scenario(spec, build_scenario)
+        cells = counter_stream(seed, stream + index).integers(
+            0, scenario.deployment.cell_count, size=frames
+        )
+        workloads[site] = RssCollector(
+            scenario, protocol, seed=task_key(seed, label, site)
+        ).live_trace(0.0, cells).rss
+    return workloads
+
+
+def identical(result, reference) -> bool:
+    """Bit-identity of two batch answers.
+
+    Cells and positions always; scores whenever both sides carry them
+    (a wire answer carries them only when asked with
+    ``include_scores=True``).
+    """
+    scores = getattr(result, "scores", None)
+    expected = getattr(reference, "scores", None)
+    return bool(
+        np.array_equal(result.cells, reference.cells)
+        and np.array_equal(result.positions, reference.positions)
+        and (
+            scores is None
+            or expected is None
+            or np.array_equal(scores, expected)
+        )
+    )
+
+
+def run_phase(
+    fleet,
+    workloads: Mapping[str, np.ndarray],
+    expected: Mapping[str, object],
+    count: int,
+) -> Dict[str, object]:
+    """``count`` round-robin ``query_batch`` calls, every answer checked.
+
+    A call that raises ``OSError`` (the fleet's unavailable, timeout and
+    connection errors) is a failed query; an answer that is not
+    :func:`identical` to ``expected`` — or is marked ``stale`` — is a
+    mismatched one. Returns both counts and the latency summary.
+    """
+    sites = list(workloads)
+    latencies: List[float] = []
+    failed = mismatched = 0
+    for op in range(count):
+        site = sites[op % len(sites)]
+        begin = time.perf_counter()
+        try:
+            result = fleet.query_batch(site, workloads[site], 0.0)
+        except OSError:
+            failed += 1
+            continue
+        latencies.append(time.perf_counter() - begin)
+        if not identical(result, expected[site]) or getattr(
+            result, "stale", False
+        ):
+            mismatched += 1
+    return {
+        "failed_queries": failed,
+        "mismatched_queries": mismatched,
+        "latency": latency_summary(latencies),
+    }
+
+
+def unknown_site_error(client, frames: np.ndarray) -> Optional[str]:
+    """Class name of what a query for an unregistered site raises.
+
+    The wire error contract maps the server's 404 back to ``KeyError``,
+    as the in-process service raises; ``None`` means nothing was raised.
+    """
+    try:
+        client.query_batch("nowhere", frames, 0.0)
+    except Exception as error:  # noqa: BLE001 - the class is the answer
+        return type(error).__name__
+    return None

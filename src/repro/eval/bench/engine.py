@@ -142,9 +142,11 @@ def _format(record: Dict[str, object]) -> List[str]:
 
 
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
-    if not all(record[f]["bit_identical"] for f in ("fig3", "fig5")):
-        return ["parallel results differ from serial"]
-    return []
+    return [
+        f"engine:{figure}: parallel results differ from serial"
+        for figure in ("fig3", "fig5")
+        if not record[figure]["bit_identical"]
+    ]
 
 
 register(

@@ -7,16 +7,16 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.eval.bench.common import (
     BENCH_SEED,
     BenchConfig,
     bench_spec,
     best_of,
+    identical,
+    site_workloads,
+    unknown_site_error,
 )
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import (
     HttpFrontend,
     LocalizationService,
@@ -24,9 +24,7 @@ from repro.serve import (
     ShardedService,
     UnixFrontend,
 )
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol
 from repro.util.stats import latency_summary, timed_singles
 
 __all__ = ["bench_frontend"]
@@ -59,26 +57,22 @@ def bench_frontend(
       worker (≈1 on a single core, → min(shards, cores, sites) on a
       multi-core host because workers own disjoint site sets).
     * **bit-identity** — every transport and every shard count must
-      reproduce the in-process answers exactly; the smoke run gates CI
-      on these flags.
+      reproduce the in-process answers exactly, scores included; the
+      smoke gates check each (transport, site) and (shard count, site)
+      pair, plus the wire error contract (an unknown site comes back as
+      ``KeyError``).
     """
     protocol = CollectionProtocol(
         samples_per_cell=samples_per_cell, empty_room_samples=10
     )
     specs = {name: bench_spec(name) for name in sites}
+    workloads = site_workloads(
+        specs, protocol, frames, seed, 300, "frontend-workload"
+    )
     service = LocalizationService.from_specs(
         specs, protocol=protocol, seed=seed
     )
     service.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 300 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario, protocol, seed=task_key(seed, "frontend-workload", site)
-        ).live_trace(0.0, cells).rss
     reference = {
         site: service.query_batch(site, rss, 0.0)
         for site, rss in workloads.items()
@@ -95,11 +89,8 @@ def bench_frontend(
     def wire_rates(client) -> Dict[str, Dict[str, float]]:
         rates: Dict[str, Dict[str, float]] = {}
         for site, rss in workloads.items():
-            wire = client.query_batch(site, rss, 0.0)  # warm-up + identity
-            identical = bool(
-                np.array_equal(wire.cells, reference[site].cells)
-                and np.array_equal(wire.positions, reference[site].positions)
-            )
+            # Warm-up + identity (scores included).
+            wire = client.query_batch(site, rss, 0.0, include_scores=True)
             batch_s = best_of(
                 lambda: client.query_batch(site, rss, 0.0), repeat
             )
@@ -118,7 +109,7 @@ def bench_frontend(
                 ),
                 "roundtrip_ms": 1000.0 * single_s / len(head),
                 "latency": latency_summary(latencies),
-                "bit_identical": identical,
+                "bit_identical": identical(wire, reference[site]),
             }
         return rates
 
@@ -158,6 +149,9 @@ def bench_frontend(
                     if rates["single_qps"] > 0
                     else float("inf")
                 )
+            record["http_unknown_site_error"] = unknown_site_error(
+                client, next(iter(workloads.values()))
+            )
 
     with tempfile.TemporaryDirectory() as tmp:
         with UnixFrontend(service, str(Path(tmp) / "bench.sock")) as frontend:
@@ -182,11 +176,11 @@ def bench_frontend(
             sharded.warm()
             warm_s = time.perf_counter() - start
             results = sharded.map_query_batch(requests)  # warm-up + identity
-            identical = all(
-                np.array_equal(result.cells, reference[site].cells)
-                and np.array_equal(result.positions, reference[site].positions)
+            mismatched = [
+                site
                 for (site, _, _), result in zip(requests, results)
-            )
+                if not identical(result, reference[site])
+            ]
             fanout_s = best_of(
                 lambda: sharded.map_query_batch(requests), repeat
             )
@@ -197,7 +191,8 @@ def bench_frontend(
                 "warm_s": warm_s,
                 "fanout_batch_qps": qps,
                 "scaling_x": qps / base_qps if base_qps > 0 else float("inf"),
-                "bit_identical": bool(identical),
+                "bit_identical": not mismatched,
+                "mismatched_sites": mismatched,
             }
     return record
 
@@ -223,7 +218,7 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"{record['singles']} single round trips):"
     )
     for site, row in record["per_site"].items():
-        identical = (
+        verdict = (
             "bit-identical"
             if row.get("http_bit_identical")
             and row.get("unix_bit_identical")
@@ -238,29 +233,40 @@ def _format(record: Dict[str, object]) -> List[str]:
             f"{latency.get('p99_ms', float('nan')):.2f} ms, "
             f"{row['wire_overhead_x']:.1f}x overhead) | "
             f"unix {row['unix_single_qps']:,.0f} q/s | "
-            f"http batch {row['http_batch_qps']:,.0f} q/s ({identical})"
+            f"http batch {row['http_batch_qps']:,.0f} q/s ({verdict})"
         )
     for count, row in record["shards"].items():
-        identical = "bit-identical" if row["bit_identical"] else "MISMATCH"
+        verdict = "bit-identical" if row["bit_identical"] else "MISMATCH"
         lines.append(
             f"  shards={count}: warm {row['warm_s']:.2f}s | fan-out "
             f"{row['fanout_batch_qps']:,.0f} q/s "
-            f"({row['scaling_x']:.2f}x vs 1 worker, {identical})"
+            f"({row['scaling_x']:.2f}x vs 1 worker, {verdict})"
         )
     return lines
 
 
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
-    wire_ok = all(
-        row["http_bit_identical"] and row["unix_bit_identical"]
-        for row in record["per_site"].values()
-    )
-    shard_ok = all(
-        row["bit_identical"] for row in record["shards"].values()
-    )
-    if not (wire_ok and shard_ok):
-        return ["wire/shard answers differ from in-process service"]
-    return []
+    failures: List[str] = []
+    for site, row in record["per_site"].items():
+        for transport in ("http", "unix"):
+            if not row[f"{transport}_bit_identical"]:
+                failures.append(
+                    f"{transport}:{site}: wire answers differ from the "
+                    "in-process service"
+                )
+    error = record["http_unknown_site_error"]
+    if error != "KeyError":
+        failures.append(
+            f"http:error-contract: an unknown site raised {error}, "
+            "not KeyError"
+        )
+    for count, row in record["shards"].items():
+        for site in row["mismatched_sites"]:
+            failures.append(
+                f"shards={count}:{site}: fleet answers differ from the "
+                "in-process service"
+            )
+    return failures
 
 
 register(

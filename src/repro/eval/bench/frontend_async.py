@@ -13,9 +13,11 @@ from repro.eval.bench.common import (
     BenchConfig,
     bench_spec,
     best_of,
+    identical,
+    site_workloads,
+    unknown_site_error,
 )
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import (
     AioFrontend,
     AsyncServiceClient,
@@ -23,9 +25,7 @@ from repro.serve import (
     LocalizationService,
     ServiceClient,
 )
-from repro.sim.collector import CollectionProtocol, LiveTrace, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol, LiveTrace
 from repro.util.stats import latency_summary, timed_singles
 
 __all__ = ["bench_frontend_async"]
@@ -117,25 +117,21 @@ def bench_frontend_async(
     ``trace_streaming`` pushes a short and an N×-longer ``query_trace``
     through the chunked NDJSON path, gating bit-identity with the
     in-process answer and that the client's peak per-message bytes stay
-    flat in trace length (``buffering_flat``).
+    flat in trace length (``buffering_flat``). The sync client also
+    gates whole-batch identity (scores included) and the wire error
+    contract on the event-loop server.
     """
     protocol = CollectionProtocol(
         samples_per_cell=samples_per_cell, empty_room_samples=10
     )
     specs = {name: bench_spec(name) for name in sites}
+    workloads = site_workloads(
+        specs, protocol, frames, seed, 300, "frontend-workload"
+    )
     service = LocalizationService.from_specs(
         specs, protocol=protocol, seed=seed
     )
     service.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 300 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario, protocol, seed=task_key(seed, "frontend-workload", site)
-        ).live_trace(0.0, cells).rss
     heads = {
         site: rss[: min(frames, singles)] for site, rss in workloads.items()
     }
@@ -187,14 +183,23 @@ def bench_frontend_async(
         # protocol cost from what pipelining buys on top.
         with ServiceClient(address) as client:
             for site, head in heads.items():
-                client.query(site, head[0], 0.0)  # warm up the connection
+                wire = client.query_batch(
+                    site, workloads[site], 0.0, include_scores=True
+                )
                 single_s = best_of(
                     lambda: [client.query(site, frame, 0.0) for frame in head],
                     repeat,
                 )
-                record["per_site"][site]["aio_sync_single_qps"] = (
+                row = record["per_site"][site]
+                row["aio_sync_single_qps"] = (
                     len(head) / single_s if single_s > 0 else float("inf")
                 )
+                row["aio_batch_bit_identical"] = identical(
+                    wire, service.query_batch(site, workloads[site], 0.0)
+                )
+            record["aio_unknown_site_error"] = unknown_site_error(
+                client, next(iter(workloads.values()))
+            )
 
         for site, head in heads.items():
             row = record["per_site"][site]
@@ -262,15 +267,11 @@ def bench_frontend_async(
             streamed, peak, elapsed = asyncio.run(
                 _aio_trace_probe(address, site, trace, stream_chunk)
             )
-            identical = bool(
-                np.array_equal(streamed.cells, reference.cells)
-                and np.array_equal(streamed.positions, reference.positions)
-            )
             peaks.append(int(peak))
             lengths[str(trace.shape[0])] = {
                 "frames": int(trace.shape[0]),
                 "peak_message_bytes": int(peak),
-                "bit_identical": identical,
+                "bit_identical": identical(streamed, reference),
                 "stream_s": elapsed,
                 "frames_per_s": (
                     trace.shape[0] / elapsed if elapsed > 0 else float("inf")
@@ -310,8 +311,10 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"{record['singles']} singles/connection):"
     )
     for site, row in record["per_site"].items():
-        identical = (
-            "bit-identical" if row.get("bit_identical") else "MISMATCH"
+        verdict = (
+            "bit-identical"
+            if row.get("bit_identical") and row.get("aio_batch_bit_identical")
+            else "MISMATCH"
         )
         lines.append(
             f"  {site:<12} in-proc {row['inproc_single_qps']:,.0f} q/s | "
@@ -319,7 +322,7 @@ def _format(record: Dict[str, object]) -> List[str]:
             f"aio sync {row['aio_sync_single_qps']:,.0f} q/s | "
             f"aio best {row['aio_best_qps']:,.0f} q/s "
             f"({row['speedup_vs_http_x']:.1f}x vs http, "
-            f"{row['wire_vs_inproc_x']:.1f}x off in-proc, {identical})"
+            f"{row['wire_vs_inproc_x']:.1f}x off in-proc, {verdict})"
         )
         for count, pipe in row["pipelined"].items():
             latency = pipe["latency"]
@@ -346,20 +349,33 @@ def _format(record: Dict[str, object]) -> List[str]:
 
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
     failures: List[str] = []
-    aio_ok = all(
-        row["bit_identical"] for row in record["per_site"].values()
-    )
-    streaming = record["trace_streaming"]
-    stream_ok = all(
-        row["bit_identical"] for row in streaming["lengths"].values()
-    )
-    if not (aio_ok and stream_ok):
+    for site, row in record["per_site"].items():
+        if not row["aio_batch_bit_identical"]:
+            failures.append(
+                f"aio:{site}: sync-client batch answers differ from the "
+                "in-process service"
+            )
+        if not row["bit_identical"]:
+            failures.append(
+                f"aio-pipelined:{site}: pipelined singles differ from "
+                "in-process singles"
+            )
+    error = record["aio_unknown_site_error"]
+    if error != "KeyError":
         failures.append(
-            "asyncio front-end answers differ from in-process service"
+            f"aio:error-contract: an unknown site raised {error}, "
+            "not KeyError"
+        )
+    streaming = record["trace_streaming"]
+    if not all(row["bit_identical"] for row in streaming["lengths"].values()):
+        failures.append(
+            f"aio-stream-trace:{streaming['site']}: streamed trace differs "
+            "from the in-process answer"
         )
     if not streaming["buffering_flat"]:
         failures.append(
-            "streamed query_trace peak buffering grows with trace length"
+            f"aio-stream-trace:{streaming['site']}: peak buffering grows "
+            "with trace length"
         )
     return failures
 

@@ -19,11 +19,13 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.eval.bench.common import BENCH_SEED, BenchConfig, bench_spec
+from repro.eval.bench.common import (
+    BENCH_SEED,
+    BenchConfig,
+    bench_spec,
+    site_workloads,
+)
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.loadgen.driver import (
     DriverResult,
     expected_answers,
@@ -46,9 +48,7 @@ from repro.serve import (
     UnixFrontend,
     UpdateScheduler,
 )
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
+from repro.sim.collector import CollectionProtocol
 
 __all__ = ["bench_loadgen"]
 
@@ -96,17 +96,9 @@ def bench_loadgen(
         specs, protocol=protocol, seed=seed
     )
     reference.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 900 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario,
-            protocol,
-            seed=task_key(seed, "loadgen-workload", site),
-        ).live_trace(0.0, cells).rss
+    workloads = site_workloads(
+        specs, protocol, frames, seed, 900, "loadgen-workload"
+    )
     expected = expected_answers(reference, workloads, 0.0)
 
     def plan_at(rate: float):
@@ -401,10 +393,10 @@ def _format(record: Dict[str, object]) -> List[str]:
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
     failures: List[str] = []
     if not record["plan_bit_identical"]:
-        failures.append("loadgen: same-seed load plans are not bit-identical")
+        failures.append("loadgen:plan: same-seed load plans are not bit-identical")
     for key, result in record["saturation"].items():
         if result["max_sustained_qps"] <= 0:
-            failures.append(f"loadgen: {key} sustained no rate under the SLO")
+            failures.append(f"loadgen:{key}: sustained no rate under the SLO")
             continue
         sustained = result.get("sustained") or {}
         if (
@@ -412,31 +404,31 @@ def _smoke_gates(record: Dict[str, object]) -> List[str]:
             or sustained.get("mismatched_queries", 0) != 0
         ):
             failures.append(
-                f"loadgen: {key} sustained run had failed/mismatched queries"
+                f"loadgen:{key}: sustained run had failed/mismatched queries"
             )
     closed = record.get("closed_loop")
     if closed and (
         closed["failed_queries"] != 0 or closed["mismatched_queries"] != 0
     ):
-        failures.append("loadgen: closed-loop run had failed/mismatched queries")
+        failures.append("loadgen:closed-loop: failed/mismatched queries")
     perturbation = record.get("perturbation")
     if perturbation:
         for phase in ("quiet", "refresh"):
             row = perturbation[phase]
             if row["failed_queries"] != 0 or row["mismatched_queries"] != 0:
                 failures.append(
-                    f"loadgen: {phase} perturbation phase had "
-                    "failed/mismatched queries"
+                    f"loadgen:perturbation-{phase}: failed/mismatched "
+                    "queries"
                 )
     soak = record.get("soak")
     if soak:
         if soak["pipelines_built"] != 1:
             failures.append(
-                "loadgen: soak built more than one pipeline "
+                "loadgen:soak: built more than one pipeline "
                 "(spec dedupe regressed)"
             )
         if soak["query_phase"]["failed_queries"] != 0:
-            failures.append("loadgen: soak query phase had failures")
+            failures.append("loadgen:soak: query phase had failures")
     failures.extend(validate_loadgen_section(record))
     return failures
 

@@ -7,8 +7,11 @@ Each bench section — ``solve``, ``engine``, ``serving``, ``frontend``,
   historical None-skips keyword contract);
 * a ``format(record) -> lines`` callable reproducing its block of the
   human-readable report **byte-for-byte** as the old monolith printed it;
-* ``smoke_gates(record) -> failures``, the CI gate conditions that used
-  to live inline in ``bench_perf.py --smoke``;
+* ``smoke_gates(record) -> failures``, its CI gate conditions, each
+  failure string opening with the gate's name (``http:paper: ...``,
+  ``resilience:resize: ...``). ``bench_perf.py --smoke --only ...`` runs
+  them, and the Makefile's smoke targets partition the sections between
+  them, so each gate has one implementation and runs once per CI run;
 * its ``report_key`` (the JSON key — ``sizes`` for the solve section,
   the section name otherwise) and how host metadata is stamped
   (per-row for ``sizes``, per-section dict otherwise).

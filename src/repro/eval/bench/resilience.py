@@ -1,4 +1,4 @@
-"""The ``resilience`` bench section: worker kill / failover / restore."""
+"""The ``resilience`` bench section: worker kill / failover / restore / resize."""
 
 from __future__ import annotations
 
@@ -7,17 +7,18 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.eval.bench.common import BENCH_SEED, BenchConfig, bench_spec
+from repro.eval.bench.common import (
+    BENCH_SEED,
+    BenchConfig,
+    bench_spec,
+    identical,
+    run_phase,
+    site_workloads,
+)
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import LocalizationService, ShardedService
 from repro.serve.faults import FaultInjector, FaultSchedule
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
-from repro.util.stats import latency_summary
+from repro.sim.collector import CollectionProtocol
 
 __all__ = ["bench_resilience"]
 
@@ -33,24 +34,28 @@ def bench_resilience(
     seed: int = BENCH_SEED,
     recovery_timeout_s: float = 120.0,
 ) -> Dict[str, object]:
-    """Benchmark the fleet's fault tolerance: kill a worker, count losses.
+    """Benchmark the fleet's fault tolerance: kill every worker, count losses.
 
     The measurement behind the PR-6 acceptance claims, all on one
     snapshot-backed :class:`~repro.serve.shard.ShardedService` fleet
     (``shards`` workers, R = ``replicas``):
 
     * **failed / mismatched queries** — a round-robin ``query_batch``
-      workload runs before, immediately after a seed-scheduled
-      (:class:`~repro.serve.faults.FaultSchedule`) ``kill -9`` of a
-      worker, and again after recovery; every answer is checked
-      bit-for-bit against an undisturbed in-process service. With
+      workload runs before any fault, straight after a ``kill -9`` of
+      each worker in turn (starting at the seed-scheduled
+      :class:`~repro.serve.faults.FaultSchedule` victim), and again
+      after recovery; every answer is checked bit-for-bit (scores
+      included) against an undisturbed in-process service. With
       R >= 2 the target is zero failures and zero mismatches in every
       phase.
-    * **recovery** — wall time from the SIGKILL to the victim answering
-      again, plus how many of its sites the respawn restored from
-      snapshots (vs re-surveying).
+    * **recovery** — per kill, wall time from the SIGKILL to the victim
+      answering again, plus how many of its sites the respawn restored
+      from snapshots (the target is > 0: a respawn must not re-survey).
     * **tail latency** — p50/p99 per phase, so the perturbation the
       failover + background respawn causes is a number, not a vibe.
+    * **fan-out and resize identity** — after recovery a
+      ``map_query_batch`` fan-out, then a live resize up one shard and
+      down to one fewer than the start, must answer bit-identically.
     * **warm paths** — ``cold_warm_s`` (first fleet warm: full
       commissioning surveys) vs ``snapshot_warm_s`` (a second fleet over
       the same snapshot directory), the restore-vs-rebuild speedup a
@@ -60,29 +65,20 @@ def bench_resilience(
         samples_per_cell=samples_per_cell, empty_room_samples=5
     )
     specs = {f"site-{name}": bench_spec(name) for name in sites}
+    workloads = site_workloads(
+        specs, protocol, frames, seed, 500, "resilience-workload"
+    )
     reference = LocalizationService.from_specs(
         specs, protocol=protocol, seed=seed, share_pipelines=False
     )
     reference.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 500 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario,
-            protocol,
-            seed=task_key(seed, "resilience-workload", site),
-        ).live_trace(0.0, cells).rss
     expected = {
         site: reference.query_batch(site, rss, 0.0)
         for site, rss in workloads.items()
     }
-    site_list = list(specs)
 
     record: Dict[str, object] = {
-        "sites": site_list,
+        "sites": list(specs),
         "shards": int(shards),
         "replicas": int(replicas),
         "frames": int(frames),
@@ -104,64 +100,66 @@ def bench_resilience(
             start = time.perf_counter()
             fleet.warm()
             record["cold_warm_s"] = time.perf_counter() - start
-
-            def run_phase(count: int) -> Dict[str, object]:
-                latencies: List[float] = []
-                failed = 0
-                mismatched = 0
-                for op in range(count):
-                    site = site_list[op % len(site_list)]
-                    rss = workloads[site]
-                    begin = time.perf_counter()
-                    try:
-                        result = fleet.query_batch(site, rss, 0.0)
-                    except OSError:
-                        failed += 1
-                        continue
-                    latencies.append(time.perf_counter() - begin)
-                    if not (
-                        np.array_equal(result.cells, expected[site].cells)
-                        and np.array_equal(
-                            result.positions, expected[site].positions
-                        )
-                    ):
-                        mismatched += 1
-                return {
-                    "failed_queries": failed,
-                    "mismatched_queries": mismatched,
-                    "latency": latency_summary(latencies),
-                }
-
-            record["before"] = run_phase(operations)
+            record["before"] = run_phase(fleet, workloads, expected, operations)
 
             schedule = FaultSchedule.generate(
                 seed=seed, operations=operations, shards=shards, faults=1
             )
-            victim = schedule.events[0].target
+            first = schedule.events[0].target
             injector = FaultInjector(fleet)
-            killed_at = time.perf_counter()
-            injector.kill(victim)
-            record["victim_shard"] = int(victim)
-            # Under load straight through the outage: with R >= 2 every
-            # query fails over to a live replica and still answers.
-            record["during"] = run_phase(operations)
-
-            recovered = False
-            deadline = time.monotonic() + recovery_timeout_s
-            while time.monotonic() < deadline:
-                fleet.health()  # the monitoring poll drives the respawn
-                if fleet._shards[victim].alive():
-                    recovered = True
-                    break
-                time.sleep(0.02)
-            record["recovery_s"] = time.perf_counter() - killed_at
-            record["recovered"] = bool(recovered)
-            if recovered:
-                worker_health = fleet._shards[victim].call("health")
-                record["snapshots_restored"] = int(
-                    worker_health["snapshots_restored"]
+            kills: List[Dict[str, object]] = []
+            for victim in [(first + k) % shards for k in range(shards)]:
+                killed_at = time.perf_counter()
+                injector.kill(victim)
+                # Under load straight through the outage: with R >= 2
+                # every query fails over to a live replica and answers.
+                kill = {
+                    "shard": int(victim),
+                    **run_phase(fleet, workloads, expected, operations),
+                }
+                recovered = False
+                deadline = time.monotonic() + recovery_timeout_s
+                while time.monotonic() < deadline:
+                    fleet.health()  # the monitoring poll drives the respawn
+                    if fleet._shards[victim].alive():
+                        recovered = True
+                        break
+                    time.sleep(0.02)
+                kill["recovery_s"] = time.perf_counter() - killed_at
+                kill["recovered"] = recovered
+                kill["snapshots_restored"] = (
+                    int(fleet._shards[victim].call("health")["snapshots_restored"])
+                    if recovered
+                    else 0
                 )
-            record["after"] = run_phase(operations)
+                kills.append(kill)
+            record["kills"] = kills
+            record["after"] = run_phase(fleet, workloads, expected, operations)
+            results = fleet.map_query_batch(
+                [(site, rss, 0.0) for site, rss in workloads.items()]
+            )
+            record["after_fanout_mismatched_sites"] = [
+                site
+                for site, result in zip(workloads, results)
+                if not identical(result, expected[site])
+            ]
+            grown = fleet.resize(shards + 1)
+            grow = run_phase(fleet, workloads, expected, len(workloads))
+            shrunk = fleet.resize(max(1, shards - 1))
+            shrink = run_phase(fleet, workloads, expected, len(workloads))
+            record["resize"] = {
+                "shards": [int(shards), int(shards) + 1, max(1, int(shards) - 1)],
+                "moved_sites": [
+                    len(grown["moved_sites"]),
+                    len(shrunk["moved_sites"]),
+                ],
+                "failed_queries": (
+                    grow["failed_queries"] + shrink["failed_queries"]
+                ),
+                "mismatched_queries": (
+                    grow["mismatched_queries"] + shrink["mismatched_queries"]
+                ),
+            }
             record["router_stats"] = {
                 "failovers": fleet.router_stats.failovers,
                 "timeouts": fleet.router_stats.timeouts,
@@ -192,14 +190,9 @@ def bench_resilience(
                     for shard in revived._shards
                 )
             )
-            record["snapshot_warm_bit_identical"] = bool(
-                all(
-                    np.array_equal(
-                        revived.query_batch(site, rss, 0.0).cells,
-                        expected[site].cells,
-                    )
-                    for site, rss in workloads.items()
-                )
+            record["snapshot_warm_bit_identical"] = all(
+                identical(revived.query_batch(site, rss, 0.0), expected[site])
+                for site, rss in workloads.items()
             )
         finally:
             revived.close()
@@ -207,12 +200,9 @@ def bench_resilience(
     cold = record["cold_warm_s"]
     warm = record["snapshot_warm_s"]
     record["restore_speedup"] = cold / warm if warm > 0 else float("inf")
-    record["zero_loss"] = bool(
-        all(
-            record[phase]["failed_queries"] == 0
-            and record[phase]["mismatched_queries"] == 0
-            for phase in ("before", "during", "after")
-        )
+    record["zero_loss"] = all(
+        phase["failed_queries"] == 0 and phase["mismatched_queries"] == 0
+        for phase in [record["before"], *kills, record["after"]]
     )
     return record
 
@@ -229,26 +219,36 @@ def _run(config: BenchConfig) -> Optional[Dict[str, object]]:
     )
 
 
+def _phase_cell(row: Dict[str, object]) -> str:
+    latency = row["latency"]
+    return (
+        f"failed {row['failed_queries']} | "
+        f"mismatched {row['mismatched_queries']} | "
+        f"p50 {latency.get('p50_ms', float('nan')):.1f} ms | "
+        f"p99 {latency.get('p99_ms', float('nan')):.1f} ms"
+    )
+
+
 def _format(record: Dict[str, object]) -> List[str]:
     lines = [""]
     lines.append(
         f"resilience ({record['shards']} shards, "
-        f"R={record['replicas']}, kill -9 of shard "
-        f"{record.get('victim_shard', '?')} under load):"
+        f"R={record['replicas']}, kill -9 of every shard in turn under "
+        "load):"
     )
-    for phase in ("before", "during", "after"):
-        row = record[phase]
-        latency = row["latency"]
+    lines.append(f"  before  {_phase_cell(record['before'])}")
+    for kill in record["kills"]:
         lines.append(
-            f"  {phase:<7} failed {row['failed_queries']} | "
-            f"mismatched {row['mismatched_queries']} | "
-            f"p50 {latency.get('p50_ms', float('nan')):.1f} ms | "
-            f"p99 {latency.get('p99_ms', float('nan')):.1f} ms"
+            f"  kill {kill['shard']:<2} {_phase_cell(kill)} | recovered in "
+            f"{kill['recovery_s']:.2f}s, {kill['snapshots_restored']} "
+            "site(s) snapshot-restored"
         )
-    restored = record.get("snapshots_restored", 0)
+    lines.append(f"  after   {_phase_cell(record['after'])}")
+    resize = record["resize"]
     lines.append(
-        f"  recovery {record['recovery_s']:.2f}s "
-        f"({restored} site(s) snapshot-restored) | warm cold "
+        f"  resize {'->'.join(str(n) for n in resize['shards'])} moved "
+        f"{'/'.join(str(n) for n in resize['moved_sites'])} site(s), "
+        f"mismatched {resize['mismatched_queries']} | warm cold "
         f"{record['cold_warm_s']:.2f}s vs snapshot "
         f"{record['snapshot_warm_s']:.2f}s "
         f"({record['restore_speedup']:.1f}x) | "
@@ -257,14 +257,49 @@ def _format(record: Dict[str, object]) -> List[str]:
     return lines
 
 
+def _lost(row: Dict[str, object]) -> str:
+    return (
+        f"{row['failed_queries']} failed, "
+        f"{row['mismatched_queries']} mismatched"
+    )
+
+
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
     failures: List[str] = []
-    if not record["zero_loss"]:
-        failures.append("resilience: queries lost or mismatched across kill")
-    if not record["recovered"]:
-        failures.append("resilience: killed worker did not recover")
+    before = record["before"]
+    if before["failed_queries"] or before["mismatched_queries"]:
+        failures.append(f"resilience:before-kill: {_lost(before)}")
+    for kill in record["kills"]:
+        shard = kill["shard"]
+        if (
+            kill["failed_queries"]
+            or kill["mismatched_queries"]
+            or not kill["recovered"]
+        ):
+            failures.append(
+                f"resilience:kill-shard-{shard}: {_lost(kill)}, "
+                f"recovered={kill['recovered']}"
+            )
+        if kill["snapshots_restored"] <= 0:
+            failures.append(
+                f"resilience:snapshot-warm-{shard}: the respawn restored "
+                "no site from snapshots"
+            )
+    after = record["after"]
+    mismatched_sites = record["after_fanout_mismatched_sites"]
+    if after["failed_queries"] or after["mismatched_queries"] or mismatched_sites:
+        failures.append(
+            f"resilience:post-recovery-identity: {_lost(after)}, fan-out "
+            f"mismatched on {mismatched_sites}"
+        )
+    resize = record["resize"]
+    if resize["failed_queries"] or resize["mismatched_queries"]:
+        failures.append(f"resilience:resize: {_lost(resize)}")
     if not record["snapshot_warm_bit_identical"]:
-        failures.append("resilience: snapshot-warmed fleet answers differ")
+        failures.append(
+            "resilience:snapshot-restart-identity: a fleet warmed from "
+            "snapshots answers differently"
+        )
     return failures
 
 

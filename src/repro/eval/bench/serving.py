@@ -209,9 +209,11 @@ def _format(record: Dict[str, object]) -> List[str]:
 
 
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
-    if not all(row["bit_identical"] for row in record["per_site"].values()):
-        return ["serving answers differ from direct TafLoc calls"]
-    return []
+    return [
+        f"serving:{site}: answers differ from direct TafLoc calls"
+        for site, row in record["per_site"].items()
+        if not row["bit_identical"]
+    ]
 
 
 register(

@@ -203,7 +203,7 @@ def _smoke_gates(record: Dict[str, object]) -> List[str]:
     for size, row in record.items():
         if not row["solve"]["warm_le_cold"]:
             failures.append(
-                f"solve: warm-start iterations exceed cold on {size}"
+                f"solve:{size}: warm-start iterations exceed cold"
             )
     return failures
 

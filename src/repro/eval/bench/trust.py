@@ -9,15 +9,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.eval.bench.common import BENCH_SEED, BenchConfig, bench_spec
+from repro.eval.bench.common import (
+    BENCH_SEED,
+    BenchConfig,
+    bench_spec,
+    identical,
+    run_phase,
+    site_workloads,
+)
 from repro.eval.bench.registry import BenchSection, register
-from repro.eval.engine import cached_scenario
 from repro.serve import LocalizationService, ShardedService
 from repro.serve.faults import FaultInjector
-from repro.sim.collector import CollectionProtocol, RssCollector
-from repro.sim.specs import build_scenario
-from repro.util.rng import counter_stream, task_key
-from repro.util.stats import latency_summary
+from repro.sim.collector import CollectionProtocol
 
 __all__ = ["bench_trust"]
 
@@ -39,11 +42,19 @@ def bench_trust(
     * **quorum overhead** — the same workload through a failover fleet
       and a quorum fleet over identical snapshots: what cross-checking
       every read against all replicas costs in p50/p99 and q/s.
-    * **corruption episode** — a seed-deterministic bit flip in one
-      replica's fingerprint state, then the workload: wall time until
+    * **corruption episode** — a seed-deterministic bit flip in the
+      first site's primary replica, then the workload: wall time until
       the divergence is detected and the liar repaired, with the
-      mismatched-answer count clients saw (the target is zero), plus a
-      clean-scrub pass time for scale.
+      mismatched-answer count clients saw (the target is zero; a
+      ``stale`` answer counts as mismatched), then a scrub that must
+      find nothing left to repair.
+    * **silent corruption** — a bit flip in the second site's secondary
+      replica, which no read quorum touches: the scrub, not client
+      traffic, must find and repair it, and the site must then answer
+      bit-identically.
+    * **degraded mode** — every replica of the first site killed: the
+      fleet must answer from the last verified snapshot, marked
+      ``stale``, bit-identically instead of raising.
     * **snapshot soak** — ``soak_days`` of daily update + lifecycle
       maintenance under keep-last-``snapshot_keep``: max files on disk,
       prune totals, final directory bytes — the boundedness record the
@@ -51,30 +62,25 @@ def bench_trust(
     * **drift sentinel** — one measured-drift probe per site: reading
       and wall time (what a ``policy="drift"`` scheduler tick pays).
     """
+    if len(sites) < 2:
+        raise ValueError("the trust episodes need at least two sites")
     protocol = CollectionProtocol(
         samples_per_cell=samples_per_cell, empty_room_samples=5
     )
     specs = {f"site-{name}": bench_spec(name) for name in sites}
+    workloads = site_workloads(
+        specs, protocol, frames, seed, 700, "trust-workload"
+    )
     reference = LocalizationService.from_specs(
         specs, protocol=protocol, seed=seed, share_pipelines=False
     )
     reference.warm()
-    workloads: Dict[str, np.ndarray] = {}
-    for index, (site, spec) in enumerate(specs.items()):
-        scenario = cached_scenario(spec, build_scenario)
-        cells = counter_stream(seed, 700 + index).integers(
-            0, scenario.deployment.cell_count, size=frames
-        )
-        workloads[site] = RssCollector(
-            scenario,
-            protocol,
-            seed=task_key(seed, "trust-workload", site),
-        ).live_trace(0.0, cells).rss
     expected = {
         site: reference.query_batch(site, rss, 0.0)
         for site, rss in workloads.items()
     }
     site_list = list(specs)
+    first = site_list[0]
 
     record: Dict[str, object] = {
         "sites": site_list,
@@ -84,33 +90,6 @@ def bench_trust(
         "operations": int(operations),
     }
 
-    def run_phase(fleet: ShardedService, count: int) -> Dict[str, object]:
-        latencies: List[float] = []
-        failed = 0
-        mismatched = 0
-        for op in range(count):
-            site = site_list[op % len(site_list)]
-            rss = workloads[site]
-            begin = time.perf_counter()
-            try:
-                result = fleet.query_batch(site, rss, 0.0)
-            except OSError:
-                failed += 1
-                continue
-            latencies.append(time.perf_counter() - begin)
-            if not (
-                np.array_equal(result.cells, expected[site].cells)
-                and np.array_equal(
-                    result.positions, expected[site].positions
-                )
-            ):
-                mismatched += 1
-        return {
-            "failed_queries": failed,
-            "mismatched_queries": mismatched,
-            "latency": latency_summary(latencies),
-        }
-
     for read_mode in ("failover", "quorum"):
         with tempfile.TemporaryDirectory() as tmp:
             fleet = ShardedService(
@@ -119,36 +98,20 @@ def bench_trust(
                 replicas=replicas,
                 snapshot_dir=Path(tmp) / "snapshots",
                 read_mode=read_mode,
+                degraded_mode=True,
                 call_timeout=60.0,
                 protocol=protocol,
                 seed=seed,
             )
             try:
                 fleet.warm()
-                record[read_mode] = run_phase(fleet, operations)
+                record[read_mode] = run_phase(
+                    fleet, workloads, expected, operations
+                )
                 if read_mode == "quorum":
-                    # The corruption episode, on the quorum fleet.
-                    injector = FaultInjector(fleet)
-                    target = site_list[0]
-                    begin = time.perf_counter()
-                    injector.corrupt(
-                        fleet.replicas[target][0], site=target, seed=seed
+                    _anti_entropy(
+                        record, fleet, workloads, expected, operations, seed
                     )
-                    episode = run_phase(fleet, operations)
-                    record["corruption_episode"] = {
-                        **episode,
-                        "detect_and_repair_s": time.perf_counter() - begin,
-                        "read_divergences": fleet.router_stats.read_divergences,
-                        "quarantines": fleet.router_stats.quarantines,
-                        "repairs": fleet.router_stats.repairs,
-                    }
-                    begin = time.perf_counter()
-                    scrub = fleet.scrub()
-                    record["scrub"] = {
-                        "pass_s": time.perf_counter() - begin,
-                        "sites_checked": scrub["sites_checked"],
-                        "divergent_sites": scrub["divergent_sites"],
-                    }
             finally:
                 fleet.close()
     failover_p50 = record["failover"]["latency"].get("p50_ms", 0.0)
@@ -160,7 +123,7 @@ def bench_trust(
     # Snapshot-lifecycle soak: the directory must stay bounded.
     with tempfile.TemporaryDirectory() as tmp:
         soak = LocalizationService.from_specs(
-            {site_list[0]: specs[site_list[0]]},
+            {first: specs[first]},
             protocol=protocol,
             seed=seed,
             snapshot_dir=tmp,
@@ -170,7 +133,7 @@ def bench_trust(
         store = soak.manager.snapshot_store
         max_files = 0
         for day in range(1, soak_days + 1):
-            soak.update(site_list[0], float(day))
+            soak.update(first, float(day))
             maintenance = soak.manager.snapshot_maintenance()
             max_files = max(max_files, len(store.files()))
         record["snapshot_soak"] = {
@@ -194,6 +157,67 @@ def bench_trust(
         }
     record["drift"] = drift
     return record
+
+
+def _anti_entropy(
+    record: Dict[str, object],
+    fleet: ShardedService,
+    workloads: Dict[str, np.ndarray],
+    expected: Dict[str, object],
+    operations: int,
+    seed: int,
+) -> None:
+    """The quorum fleet's episodes, in order, recorded into ``record``."""
+    first, second = list(workloads)[:2]
+    stats = fleet.router_stats
+    injector = FaultInjector(fleet)
+
+    # Corrupt the first site's primary: quorum reads must hide it while
+    # the router alarms, quarantines and repairs the liar.
+    begin = time.perf_counter()
+    injector.corrupt(fleet.replicas[first][0], site=first, seed=seed)
+    episode = run_phase(fleet, workloads, expected, operations)
+    record["corruption_episode"] = {
+        **episode,
+        "detect_and_repair_s": time.perf_counter() - begin,
+        "read_divergences": stats.read_divergences,
+        "quarantines": stats.quarantines,
+        "repairs": stats.repairs,
+    }
+    begin = time.perf_counter()
+    scrub = fleet.scrub()
+    record["scrub"] = {
+        "pass_s": time.perf_counter() - begin,
+        "sites_checked": scrub["sites_checked"],
+        "divergent_sites": scrub["divergent_sites"],
+        "quarantined": len(fleet.quarantined_replicas()),
+    }
+
+    # Corrupt the second site's secondary: no read quorum touches it,
+    # so only the scrub can find it.
+    injector.corrupt(fleet.replicas[second][1], site=second, seed=seed + 1)
+    scrub = fleet.scrub()
+    record["silent_corruption"] = {
+        "site": second,
+        "divergent_sites": scrub["divergent_sites"],
+        "repaired": scrub["repaired"],
+        "after": run_phase(fleet, {second: workloads[second]}, expected, 1),
+    }
+
+    # Kill every replica of the first site: degraded mode must answer
+    # from the last verified snapshot, marked stale.
+    for index in set(fleet.replicas[first]):
+        injector.kill(index)
+    degraded: Dict[str, object] = {"site": first, "error": None}
+    try:
+        result = fleet.query_batch(first, workloads[first], 0.0)
+    except OSError as error:  # recorded; the smoke gate reports it
+        degraded["error"] = repr(error)
+    else:
+        degraded["stale"] = bool(getattr(result, "stale", False))
+        degraded["bit_identical"] = identical(result, expected[first])
+    degraded["degraded_answers"] = stats.degraded_answers
+    record["degraded"] = degraded
 
 
 def _run(config: BenchConfig) -> Optional[Dict[str, object]]:
@@ -228,6 +252,15 @@ def _format(record: Dict[str, object]) -> List[str]:
         f"{episode['repairs']} repair(s) | mismatched "
         f"{episode['mismatched_queries']}"
     )
+    silent = record["silent_corruption"]
+    degraded = record["degraded"]
+    lines.append(
+        f"  scrub     {silent['site']} secondary corrupted: divergent "
+        f"{silent['divergent_sites']}, {silent['repaired']} repaired, "
+        f"mismatched {silent['after']['mismatched_queries']} after | "
+        f"degraded stale={degraded.get('stale')}, "
+        f"bit-identical={degraded.get('bit_identical')}"
+    )
     soak = record["snapshot_soak"]
     lines.append(
         f"  soak      {soak['days']} d, keep {soak['keep_last']}: "
@@ -247,14 +280,55 @@ def _format(record: Dict[str, object]) -> List[str]:
 def _smoke_gates(record: Dict[str, object]) -> List[str]:
     failures: List[str] = []
     episode = record["corruption_episode"]
-    if episode["mismatched_queries"] != 0 or episode["failed_queries"] != 0:
-        failures.append(
-            "trust: corruption episode leaked wrong or failed answers"
+    if (
+        episode["failed_queries"]
+        or episode["mismatched_queries"]
+        or min(
+            episode["read_divergences"],
+            episode["quarantines"],
+            episode["repairs"],
         )
-    if episode["read_divergences"] < 1 or episode["repairs"] < 1:
-        failures.append("trust: corruption was not detected and repaired")
-    if not record["snapshot_soak"]["bounded"]:
-        failures.append("trust: snapshot directory growth is unbounded")
+        < 1
+    ):
+        failures.append(
+            f"trust:quorum-read-repair: {episode['failed_queries']} failed, "
+            f"{episode['mismatched_queries']} mismatched, "
+            f"{episode['read_divergences']} divergence(s), "
+            f"{episode['quarantines']} quarantine(s), "
+            f"{episode['repairs']} repair(s)"
+        )
+    scrub = record["scrub"]
+    if scrub["divergent_sites"] or scrub["quarantined"]:
+        failures.append(
+            f"trust:scrub-clean-after-repair: divergent "
+            f"{scrub['divergent_sites']}, {scrub['quarantined']} quarantined"
+        )
+    silent = record["silent_corruption"]
+    if silent["site"] not in silent["divergent_sites"] or silent["repaired"] < 1:
+        failures.append(
+            f"trust:scrub-detects-silent-corruption: divergent "
+            f"{silent['divergent_sites']}, repaired {silent['repaired']}"
+        )
+    after = silent["after"]
+    if after["failed_queries"] or after["mismatched_queries"]:
+        failures.append(
+            f"trust:post-scrub-identity: {after['failed_queries']} failed, "
+            f"{after['mismatched_queries']} mismatched"
+        )
+    degraded = record["degraded"]
+    if not (degraded.get("stale") and degraded.get("bit_identical")):
+        failures.append(
+            f"trust:degraded-stale-answer: stale={degraded.get('stale')}, "
+            f"bit_identical={degraded.get('bit_identical')}, "
+            f"error={degraded['error']}"
+        )
+    soak = record["snapshot_soak"]
+    if not soak["bounded"] or soak["files_pruned"] <= 0:
+        failures.append(
+            f"trust:snapshot-retention: max {soak['max_files_on_disk']} "
+            f"file(s) on disk (keep={soak['keep_last']}), "
+            f"{soak['files_pruned']} pruned"
+        )
     return failures
 
 

@@ -27,12 +27,14 @@ deployment pieces:
 * :mod:`repro.serve.shard` — site partitioning across worker processes
   with a pure-routing front-end, bit-identical for any shard count, plus
   the anti-entropy trust layer (background scrub, quorum reads,
-  quarantine + read-repair, degraded-mode snapshot serving);
-* :mod:`repro.serve.check` — the CI smoke gate asserting wire and shard
-  answers equal the in-process service bit for bit.
+  quarantine + read-repair, degraded-mode snapshot serving).
 
 See ``tafloc-repro serve --listen`` / ``query --connect`` for the CLI
-surface and ``benchmarks/bench_perf.py`` for throughput numbers.
+surface and ``benchmarks/bench_perf.py`` for throughput numbers; its
+``--smoke`` mode is the CI gate asserting wire, shard and fleet answers
+equal the in-process service bit for bit (the ``frontend``,
+``frontend_async``, ``resilience`` and ``trust`` bench sections'
+smoke gates).
 """
 
 from repro.serve.aio import AioFrontend, AsyncServiceClient

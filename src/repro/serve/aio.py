@@ -51,7 +51,8 @@ runs on a thread pool and the loop keeps serving other requests).
 
 Bit-identity with in-process answers is unchanged: same ``dispatch``,
 same JSON float round-trip, same 400/404/409/503 error contract, gated
-by ``serve/check.py --only wire`` across all three transports.
+across all three transports by the ``frontend`` and ``frontend_async``
+bench sections' smoke gates (``make frontend-smoke``).
 """
 
 from __future__ import annotations
@@ -104,6 +105,24 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
+class _Uploads(Dict[Any, Dict[str, Any]]):
+    """A connection's open streamed uploads, by request id.
+
+    ``bytes`` is the size of every line buffered for them, header and
+    continuation lines both; it is what ``max_request_bytes`` bounds.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bytes = 0
+
+    def close(self, req_id) -> None:
+        """Forget upload ``req_id`` (if open) and release its bytes."""
+        upload = self.pop(req_id, None)
+        if upload is not None:
+            self.bytes -= upload["bytes"]
+
+
 # ----------------------------------------------------------------------
 # server
 # ----------------------------------------------------------------------
@@ -127,7 +146,11 @@ class AioFrontend:
         unix_path: Optional unix-socket path to serve as well.
         max_request_bytes: Per-line request cap; an overlong line gets a
             400 and a severed connection (mid-line streams cannot
-            resync), mirroring the threaded front-ends.
+            resync), mirroring the threaded front-ends. The same cap
+            bounds a connection's open streamed uploads: the bytes of
+            every header and continuation line buffered for them. The
+            line that crosses it gets a 400 under its id and the
+            connection is severed.
         dispatch_workers: Thread-pool width for offload backends.
     """
 
@@ -280,7 +303,7 @@ class AioFrontend:
         _set_nodelay(writer)
         lock = asyncio.Lock()
         tasks: set = set()
-        uploads: Dict[Any, Dict[str, Any]] = {}
+        uploads = _Uploads()
         try:
             while True:
                 try:
@@ -321,7 +344,7 @@ class AioFrontend:
                     )
                     continue
                 severed = await self._handle_message(
-                    message, uploads, writer, lock, tasks
+                    message, len(line), uploads, writer, lock, tasks
                 )
                 if severed:
                     break
@@ -340,9 +363,9 @@ class AioFrontend:
                 pass
 
     async def _handle_message(
-        self, message, uploads, writer, lock, tasks
+        self, message, size, uploads, writer, lock, tasks
     ) -> bool:
-        """Route one decoded request line; True = sever the connection."""
+        """Route one decoded ``size``-byte line; True = sever the connection."""
         req_id = message.get("id")
         if "method" in message:
             method = str(message.get("method", ""))
@@ -351,14 +374,16 @@ class AioFrontend:
             if message.get("frames_follow"):
                 # Streamed upload: params arrive now, frames in
                 # continuation lines matched by id (see _handle_upload).
+                uploads.close(req_id)
                 uploads[req_id] = {
                     "method": method,
                     "params": dict(message.get("params") or {}),
                     "frames": [],
                     "stream": stream,
                     "chunk": chunk,
+                    "bytes": 0,
                 }
-                return False
+                return await self._buffer(uploads, req_id, size, writer, lock)
             return await self._spawn(
                 writer,
                 lock,
@@ -371,7 +396,7 @@ class AioFrontend:
             )
         if "frames" in message or message.get("end"):
             return await self._handle_upload(
-                message, uploads, writer, lock, tasks
+                message, size, uploads, writer, lock, tasks
             )
         await self._send(
             writer,
@@ -388,8 +413,34 @@ class AioFrontend:
         )
         return False
 
+    async def _buffer(self, uploads, req_id, size, writer, lock) -> bool:
+        """Charge a ``size``-byte line to upload ``req_id``; True = sever.
+
+        Past ``max_request_bytes`` across the connection's open uploads,
+        answer 400 under that id and sever: the rest of the upload is
+        still in flight, so the stream cannot resync.
+        """
+        uploads[req_id]["bytes"] += size
+        uploads.bytes += size
+        if uploads.bytes <= self.max_request_bytes:
+            return False
+        await self._send(
+            writer,
+            lock,
+            {
+                "id": req_id,
+                "status": 400,
+                "body": {
+                    "error": "ValueError",
+                    "message": "streamed uploads exceed the "
+                    f"{self.max_request_bytes}-byte limit",
+                },
+            },
+        )
+        return True
+
     async def _handle_upload(
-        self, message, uploads, writer, lock, tasks
+        self, message, size, uploads, writer, lock, tasks
     ) -> bool:
         req_id = message.get("id")
         upload = uploads.get(req_id)
@@ -409,6 +460,8 @@ class AioFrontend:
             )
             return False
         if "frames" in message:
+            if await self._buffer(uploads, req_id, size, writer, lock):
+                return True
             try:
                 # Parse each chunk into float64 immediately: server-side
                 # peak buffering stays one chunk line, not one trace.
@@ -416,7 +469,7 @@ class AioFrontend:
                     np.asarray(message["frames"], dtype=float)
                 )
             except (TypeError, ValueError):
-                del uploads[req_id]
+                uploads.close(req_id)
                 await self._send(
                     writer,
                     lock,
@@ -431,7 +484,7 @@ class AioFrontend:
                 )
             return False
         # end marker: assemble and dispatch like an inline request.
-        del uploads[req_id]
+        uploads.close(req_id)
         params = upload["params"]
         parts = [np.atleast_2d(part) for part in upload["frames"]]
         try:

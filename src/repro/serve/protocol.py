@@ -11,7 +11,8 @@ cannot drift apart.
 **Bit-identity over the wire.** Results are encoded with :mod:`json`,
 whose float serialization is ``repr``-based shortest round-trip: a float64
 survives encode→decode exactly. That is what lets the CI frontend smoke
-gate (:mod:`repro.serve.check`) assert that wire answers equal in-process
+gates (the ``frontend`` and ``frontend_async`` bench sections) assert
+that wire answers equal in-process
 :class:`~repro.serve.service.LocalizationService` answers bit for bit.
 
 **Error contract → status codes.** The PR-4 serving error contract maps

@@ -1,10 +1,9 @@
-"""The BenchSection registry: ordering, --only filtering, the facade."""
+"""The BenchSection registry: ordering, --only filtering, smoke gates."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.eval.benchmark as facade
 from repro.eval.bench import (
     get_section,
     run_perf_bench,
@@ -85,25 +84,3 @@ def test_smoke_failures_surface_section_gates():
     failures = smoke_failures(report)
     assert any("bit-identical" in failure for failure in failures)
 
-
-def test_facade_reexports_the_public_surface():
-    for name in (
-        "BENCH_SEED",
-        "DEFAULT_SIZES",
-        "bench_engine",
-        "bench_frontend",
-        "bench_frontend_async",
-        "bench_loadgen",
-        "bench_resilience",
-        "bench_serving",
-        "bench_size",
-        "bench_trust",
-        "build_bench_deployment",
-        "format_bench_report",
-        "run_perf_bench",
-    ):
-        assert hasattr(facade, name), name
-    # The facade resolves to the same objects the registry package owns.
-    from repro.eval.bench import run_perf_bench as canonical
-
-    assert facade.run_perf_bench is canonical

@@ -9,6 +9,7 @@ all bit-identical to the in-process service.
 
 import asyncio
 import json
+import select
 import socket
 import threading
 import time
@@ -291,6 +292,68 @@ class TestAioServerBehavior:
                 assert body["status"] == 400
                 assert reader.readline() == b""  # severed
 
+    @pytest.mark.parametrize("opened", ["one-upload", "many-uploads"])
+    def test_streamed_uploads_past_the_cap_are_400_and_severed(
+        self, service, traces, opened
+    ):
+        """The request cap bounds the bytes buffered for a connection's
+        open streamed uploads, header and continuation lines both: the
+        line that crosses it gets a 400 under its id and the connection
+        is severed, like an overlong line."""
+        cap = 4096
+        frames = np.tile(traces["hq"].rss, (750, 1))[:750]
+
+        def header(req_id):
+            return _line(
+                id=req_id,
+                method="query_trace",
+                params={"site": "hq", "day": 0.0},
+                stream=True,
+                frames_follow=True,
+            )
+
+        if opened == "one-upload":
+            lines = [header(7)]
+            lines += [
+                _line(id=7, frames=frames[start : start + 16].tolist())
+                for start in range(0, len(frames), 16)
+            ]
+            lines.append(_line(id=7, end=True))
+        else:
+            lines = [header(index) for index in range(200)]
+        sizes = np.cumsum([len(line) for line in lines])
+        crossing = int(np.argmax(sizes > cap))
+        with AioFrontend(service, max_request_bytes=cap) as fe:
+            with socket.create_connection(
+                ("127.0.0.1", fe.port), timeout=10.0
+            ) as sock:
+                sock.sendall(b"".join(lines[: crossing + 1]))
+                if not select.select([sock], [], [], 5.0)[0]:
+                    # An unbounded server is still waiting for the rest.
+                    sock.sendall(b"".join(lines[crossing + 1 :]))
+                reader = sock.makefile("rb")
+                message = json.loads(reader.readline())
+                assert message["status"] == 400
+                assert message["id"] == (7 if opened == "one-upload" else crossing)
+                assert reader.readline() == b""  # severed
+
+    def test_finished_uploads_release_their_budget(self, service, traces):
+        """Only open uploads count: three sequential streamed traces that
+        each fit the cap pass, though together they exceed it."""
+        frames = np.tile(traces["hq"].rss, (150, 1))[:150]
+        reference = service.query_trace("hq", LiveTrace(day=0.0, rss=frames))
+
+        async def three(address):
+            async with AsyncServiceClient(address) as client:
+                return [
+                    await client.query_trace("hq", frames, 0.0, chunk=16)
+                    for _ in range(3)
+                ]
+
+        with AioFrontend(service, max_request_bytes=4096) as fe:
+            for result in run(three(fe.address)):
+                assert result.cells.tolist() == reference.cells.tolist()
+
     def test_malformed_json_line_is_400_but_connection_survives(
         self, frontend
     ):
@@ -330,6 +393,10 @@ class TestAioServerBehavior:
                 assert sites == ["hq"]
                 reference = sharded.query_batch("hq", rss, 0.0)
                 assert [r.cell for r in results] == reference.cells.tolist()
+
+
+def _line(**message):
+    return (json.dumps(message) + "\n").encode()
 
 
 def _query_line(req_id, site, frame, method="query", **params):
